@@ -3,10 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"hsp/internal/dag"
 	"hsp/internal/memcap"
@@ -27,8 +25,8 @@ const (
 	streamMix
 	streamHot
 	streamZipf
-	streamLarge
 	streamSuite
+	streamShape
 )
 
 // gamma is splitmix64's increment.
@@ -92,14 +90,19 @@ var distinctKinds = []string{
 
 // distinctBlock builds block b of a serve-distinct stream: one request
 // of each kind, each on a fresh seeded instance, so no two requests share
-// a cache key.
+// a cache key. The shapes (topology, machine and job counts) come from a
+// stream that ignores the seed, so every seed's pool holds the same sizes
+// and the seed draws what the instances hold: between seeds the pool's
+// cost moves with the instances' contents, not with how many large ones a
+// seed happened to draw.
 func distinctBlock(seed int64, stream uint64, b int) ([]*request, error) {
 	k := len(distinctKinds)
 	perm := newRand(seed, streamMix^stream<<8, b).Perm(k)
 	block := make([]*request, k)
 	for j := range block {
+		shape := newRand(0, streamShape^stream<<8, b*k+perm[j])
 		rng := newRand(seed, stream, b*k+j)
-		r, err := buildRequest(rng, distinctKinds[perm[j]])
+		r, err := buildRequest(shape, rng, distinctKinds[perm[j]])
 		if err != nil {
 			return nil, err
 		}
@@ -108,40 +111,32 @@ func distinctBlock(seed int64, stream uint64, b int) ([]*request, error) {
 	return block, nil
 }
 
-// genParallel fills out[i] = gen(i) for i < n on two goroutines; the
-// result does not depend on the schedule because each index is generated
-// from its own seed.
-func genParallel[T any](n int, gen func(i int) (T, error)) ([]T, error) {
-	const workers = 2
+// genEach fills out[i] = gen(i) for i < n on one goroutine: set-up time
+// then rests on one core, which the shared machine disturbs less than
+// two.
+func genEach[T any](n int, gen func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				v, err := gen(i)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out[i] = v
-			}
-		}(w)
+	for i := range out {
+		v, err := gen(i)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
 	}
-	wg.Wait()
-	return out, errors.Join(errs...)
+	return out, nil
 }
 
 // hotKinds is serve-hot's mix of small, cheap requests.
 var hotKinds = []string{serve.AlgoLP, serve.Algo2Approx, serve.AlgoBest}
 
-// hotRequest builds entry i of serve-hot's request pool.
+// hotRequest builds entry i of serve-hot's request pool: its shape from a
+// stream that ignores the seed, as distinctBlock's, its contents from the
+// seed.
 func hotRequest(seed int64, i int) (*request, error) {
+	shape := newRand(0, streamShape^streamHot<<8, i)
 	rng := newRand(seed, streamHot, i)
 	in, err := generate(rng, workload.Config{
-		Topology: workload.SemiPartitioned, Machines: 3 + rng.Intn(2), Jobs: 6 + rng.Intn(5),
+		Topology: workload.SemiPartitioned, Machines: 3 + shape.Intn(2), Jobs: 6 + shape.Intn(5),
 		MinWork: 2, MaxWork: 20, SpeedSpread: 0.4, OverheadPerLevel: 0.25,
 	})
 	if err != nil {
@@ -150,18 +145,19 @@ func hotRequest(seed int64, i int) (*request, error) {
 	return single(&serve.Request{Algo: hotKinds[i%len(hotKinds)]}, in, expect{})
 }
 
-// buildRequest draws one request of the given kind. Sizes follow the
-// hspd loadtest's topologies at m 4–8 and n 10–40.
-func buildRequest(rng *rand.Rand, kind string) (*request, error) {
+// buildRequest draws one request of the given kind: its shape from
+// shape, its contents from rng. Sizes follow the hspd loadtest's
+// topologies at m 4–8 and n 10–40.
+func buildRequest(shape, rng *rand.Rand, kind string) (*request, error) {
 	switch kind {
 	case serve.Algo2Approx, serve.AlgoBest, serve.AlgoLP:
-		in, err := midInstance(rng)
+		in, err := midInstance(shape, rng)
 		if err != nil {
 			return nil, err
 		}
 		return single(&serve.Request{Algo: kind}, in, expect{})
 	case serve.AlgoRT:
-		in, err := midInstance(rng)
+		in, err := midInstance(shape, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +167,7 @@ func buildRequest(rng *rand.Rand, kind string) (*request, error) {
 		return single(&serve.Request{Algo: kind, Frame: frame}, in, expect{frame: frame})
 	case serve.AlgoExact:
 		in, err := generate(rng, workload.Config{
-			Topology: workload.SemiPartitioned, Machines: 4, Jobs: 12 + rng.Intn(2),
+			Topology: workload.SemiPartitioned, Machines: 4, Jobs: 12 + shape.Intn(2),
 			MinWork: 5, MaxWork: 40, SpeedSpread: 0.4,
 		})
 		if err != nil {
@@ -180,7 +176,7 @@ func buildRequest(rng *rand.Rand, kind string) (*request, error) {
 		return single(&serve.Request{Algo: kind}, in, expect{exact: in})
 	case serve.AlgoDAG:
 		t, err := workload.GenerateDAG(workload.DAGConfig{
-			Machines: 4 + rng.Intn(5), Nodes: 60 + rng.Intn(31), Layers: 10, EdgeProb: 0.4, Seed: rng.Int63(),
+			Machines: 4 + shape.Intn(5), Nodes: 60 + shape.Intn(31), Layers: 10, EdgeProb: 0.4, Seed: rng.Int63(),
 			MinWork: 2, MaxWork: 12, MinMem: 1, MaxMem: 6,
 		})
 		if err != nil {
@@ -193,7 +189,7 @@ func buildRequest(rng *rand.Rand, kind string) (*request, error) {
 		return encode("/v1/solve", &serve.Request{Algo: kind, Instance: buf.Bytes()}, []expect{{algo: kind}})
 	case serve.AlgoMemory1:
 		in, err := generate(rng, workload.Config{
-			Topology: workload.SemiPartitioned, Machines: 4 + rng.Intn(2), Jobs: 10 + rng.Intn(6),
+			Topology: workload.SemiPartitioned, Machines: 4 + shape.Intn(2), Jobs: 10 + shape.Intn(6),
 			MinWork: 5, MaxWork: 50, SpeedSpread: 0.4, OverheadPerLevel: 0.3,
 		})
 		if err != nil {
@@ -207,7 +203,7 @@ func buildRequest(rng *rand.Rand, kind string) (*request, error) {
 		return single(req, in, expect{})
 	case serve.AlgoMemory2:
 		br := []int{2, 2}
-		if rng.Intn(2) == 1 {
+		if shape.Intn(2) == 1 {
 			br = []int{2, 2, 2}
 		}
 		m := 1
@@ -215,7 +211,7 @@ func buildRequest(rng *rand.Rand, kind string) (*request, error) {
 			m *= b
 		}
 		in, err := generate(rng, workload.Config{
-			Topology: workload.SMPCMP, Branching: br, Jobs: m + rng.Intn(m+1),
+			Topology: workload.SMPCMP, Branching: br, Jobs: m + shape.Intn(m+1),
 			MinWork: 5, MaxWork: 50, SpeedSpread: 0.4, OverheadPerLevel: 0.3,
 		})
 		if err != nil {
@@ -232,7 +228,7 @@ func buildRequest(rng *rand.Rand, kind string) (*request, error) {
 		var items []expect
 		for k := 0; k < 3; k++ {
 			in, err := generate(rng, workload.Config{
-				Topology: workload.SemiPartitioned, Machines: 4 + rng.Intn(3), Jobs: 12 + rng.Intn(9),
+				Topology: workload.SemiPartitioned, Machines: 4 + shape.Intn(3), Jobs: 12 + shape.Intn(9),
 				MinWork: 2, MaxWork: 20, SpeedSpread: 0.4,
 			})
 			if err != nil {
@@ -250,67 +246,24 @@ func buildRequest(rng *rand.Rand, kind string) (*request, error) {
 	return nil, fmt.Errorf("unknown request kind %q", kind)
 }
 
-// midInstance draws a core instance on one of the loadtest's topologies.
-func midInstance(rng *rand.Rand) (*model.Instance, error) {
+// midInstance draws a core instance on one of the loadtest's topologies:
+// its shape from shape, its contents from rng.
+func midInstance(shape, rng *rand.Rand) (*model.Instance, error) {
 	cfg := workload.Config{
-		Jobs: 10 + rng.Intn(31), MinWork: 5, MaxWork: 50, SpeedSpread: 0.4, OverheadPerLevel: 0.25,
+		Jobs: 10 + shape.Intn(31), MinWork: 5, MaxWork: 50, SpeedSpread: 0.4, OverheadPerLevel: 0.25,
 	}
-	switch rng.Intn(3) {
+	switch shape.Intn(3) {
 	case 0:
-		cfg.Topology, cfg.Machines = workload.SemiPartitioned, 4+rng.Intn(5)
+		cfg.Topology, cfg.Machines = workload.SemiPartitioned, 4+shape.Intn(5)
 	case 1:
-		cfg.Topology, cfg.Clusters, cfg.ClusterSize = workload.Clustered, 2, 2+rng.Intn(3)
+		cfg.Topology, cfg.Clusters, cfg.ClusterSize = workload.Clustered, 2, 2+shape.Intn(3)
 	default:
 		cfg.Topology, cfg.Branching = workload.SMPCMP, []int{2, 2}
-		if rng.Intn(2) == 1 {
+		if shape.Intn(2) == 1 {
 			cfg.Branching = []int{2, 2, 2}
 		}
 	}
 	return generate(rng, cfg)
-}
-
-// largeShapes are solve-large's instance shapes: semi-partitioned m=8
-// n=40 (warm start wins), clustered 4×4 n=48, and E12's SMP-CMP m=16
-// n=80 (warm start loses). One list block holds them in this order; the
-// three semi-partitioned solves put the median solve latency inside one
-// shape's distribution rather than on the edge between two.
-var largeShapes = []workload.Config{
-	{Topology: workload.SMPCMP, Branching: []int{2, 2, 2, 2}, Jobs: 80},
-	{Topology: workload.Clustered, Clusters: 4, ClusterSize: 4, Jobs: 48},
-	{Topology: workload.SemiPartitioned, Machines: 8, Jobs: 40},
-	{Topology: workload.SemiPartitioned, Machines: 8, Jobs: 40},
-	{Topology: workload.SemiPartitioned, Machines: 8, Jobs: 40},
-}
-
-// largeListSeed fixes solve-large's instances, as hbench's default seed
-// fixes the suite's: the cost of one SMP-CMP m=16 n=80 solve varies
-// several-fold between instances, and a list drawn afresh per run would
-// measure the draw rather than the program.
-const largeListSeed = 7
-
-// largeList builds solve-large's list: blocks copies of largeShapes, each
-// instance fixed by largeListSeed with E12's work, speed and overhead
-// parameters, solved in an order drawn from the workload seed. Each
-// instance's first LP probe starts cold whatever was solved before it, so
-// the order changes no solver work.
-func largeList(seed int64, blocks int) ([]*model.Instance, error) {
-	list := make([]*model.Instance, 0, blocks*len(largeShapes))
-	for b := 0; b < blocks; b++ {
-		for k, shape := range largeShapes {
-			rng := newRand(largeListSeed, streamLarge, b*len(largeShapes)+k)
-			cfg := shape
-			cfg.MinWork, cfg.MaxWork, cfg.SpeedSpread, cfg.OverheadPerLevel = 10, 100, 0.5, 0.3
-			in, err := generate(rng, cfg)
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, in)
-		}
-	}
-	newRand(seed, streamLarge, -1).Shuffle(len(list), func(i, j int) {
-		list[i], list[j] = list[j], list[i]
-	})
-	return list, nil
 }
 
 // generate draws an instance with a seed taken from rng.

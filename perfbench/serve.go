@@ -30,34 +30,35 @@ import (
 // The serve workloads drive an in-process hspd over loopback HTTP with
 // serveClients closed-loop clients: each sends its next request only
 // after the previous one is answered, so throughput measures the daemon,
-// not an offered rate.
+// not an offered rate. Each workload cycles through a fixed sequence of
+// requests, so every position of the sequence is sent many times in a run
+// and its latency can be read as the best of its repetitions.
+//
+// One client: on a shared 2-core VM, with serve-distinct's seed fixed and
+// runs alternating, one client read 471–499 ops/s where two read
+// 884–1154; with both cores busy, the host's other load shows in every
+// request.
 const (
-	serveClients = 2
+	serveClients = 1
 	serveWorkers = 2
 
-	// distinctRate sizes serve-distinct's pool of never-repeated requests
-	// in requests per measured second, a little above what the 2-core
-	// machine the benchmark was tuned on serves. A run that drains the
-	// pool ends early and says so; its metrics are medians over the
-	// windows it completed.
-	distinctRate = 900
-	// distinctCache is serve-distinct's cache capacity: misses, inserts
-	// and evictions only, since no request repeats.
-	distinctCache = 256
+	// distinctBlocks blocks of len(distinctKinds) fresh requests make
+	// serve-distinct's sequence, the pool in order. A request comes round
+	// again only after the whole pool, more than twice the distinctCache
+	// entries, so every lookup misses: the cache sees only misses, inserts
+	// and evictions.
+	distinctBlocks = 57
+	distinctCache  = 256
 
 	// hotPool distinct small requests, drawn Zipf(hotSkew) into a cache of
-	// hotCache entries: most requests hit, a seeded minority miss and
-	// evict.
+	// hotCache entries: most requests hit, a minority miss and evict.
 	hotPool  = 3000
 	hotCache = 256
 	hotSkew  = 1.2
-	// hotDraws is the length of serve-hot's request sequence per measured
-	// second; the sequence wraps if a run outpaces it.
-	hotDraws = 20000
-
-	// serveWindows equal windows split the timed phase; the timing
-	// metrics are medians over them.
-	serveWindows = 10
+	// hotCycle Zipf draws make serve-hot's sequence. One client sends it
+	// in the same order every cycle, so from the second cycle on each
+	// position meets the same cache state: a hit stays a hit.
+	hotCycle = 6000
 
 	// ratioOps is how many leading ops of the sequence approx_ratio
 	// averages (each distinct request once), so the figure does not
@@ -82,25 +83,35 @@ type serveInputs struct {
 	cache int        // CacheEntries of the daemon
 	warm  []*request // the warm-up pass, sent before timing
 	pool  []*request // the timed requests
-	order []int32    // sequence of pool indices; nil = pool order, no repeats
+	order []int32    // the cycled sequence of pool indices; nil = the pool in order
+}
+
+// cycle is the length of the cycled request sequence.
+func (in *serveInputs) cycle() int {
+	if in.order != nil {
+		return len(in.order)
+	}
+	return len(in.pool)
 }
 
 // distinctInputs: a fresh instance per request, warm-up drawn from a
-// disjoint stream.
-func distinctInputs(seed int64, seconds float64) (*serveInputs, error) {
-	blocks := func(stream uint64, n int) ([]*request, error) {
-		bs, err := genParallel(n, func(b int) ([]*request, error) { return distinctBlock(seed, stream, b) })
+// disjoint stream. The warm-up ignores the seed: its solves (an exact one
+// among them) cost what their instances hold, and set-up time should not
+// move with the seed.
+func distinctInputs(seed int64) (*serveInputs, error) {
+	blocks := func(seed int64, stream uint64, n int) ([]*request, error) {
+		bs, err := genEach(n, func(b int) ([]*request, error) { return distinctBlock(seed, stream, b) })
 		var all []*request
 		for _, b := range bs {
 			all = append(all, b...)
 		}
 		return all, err
 	}
-	warm, err := blocks(streamWarm, 2)
+	warm, err := blocks(0, streamWarm, 2)
 	if err != nil {
 		return nil, err
 	}
-	pool, err := blocks(streamDistinct, (int(seconds*distinctRate)+ratioOps)/len(distinctKinds)+1)
+	pool, err := blocks(seed, streamDistinct, distinctBlocks)
 	if err != nil {
 		return nil, err
 	}
@@ -109,16 +120,18 @@ func distinctInputs(seed int64, seconds float64) (*serveInputs, error) {
 
 // hotInputs: a Zipf sequence over hotPool small requests (pool index =
 // popularity rank); the warm-up sends the hotCache most popular ones, so
-// the timed phase starts with a full cache.
-func hotInputs(seed int64, seconds float64) (*serveInputs, error) {
-	pool, err := genParallel(hotPool, func(i int) (*request, error) { return hotRequest(seed, i) })
+// the timed phase starts with a full cache. The sequence of ranks ignores
+// the seed, like the requests' shapes: every seed's traffic meets the same
+// hits, misses and evictions, and the seed draws the requests' contents.
+func hotInputs(seed int64) (*serveInputs, error) {
+	pool, err := genEach(hotPool, func(i int) (*request, error) { return hotRequest(seed, i) })
 	if err != nil {
 		return nil, err
 	}
 	in := &serveInputs{cache: hotCache, pool: pool}
 	in.warm = in.pool[:hotCache]
-	z := rand.NewZipf(newRand(seed, streamZipf, 0), hotSkew, 1, hotPool-1)
-	in.order = make([]int32, int(seconds*hotDraws)+ratioOps)
+	z := rand.NewZipf(newRand(0, streamZipf, 0), hotSkew, 1, hotPool-1)
+	in.order = make([]int32, hotCycle)
 	for i := range in.order {
 		in.order[i] = int32(z.Uint64())
 	}
@@ -138,8 +151,8 @@ type serveEnv struct {
 // startServe does one set-up: generate and encode the traffic, start the
 // daemon on a listener the benchmark already holds (so it is ready when
 // Serve is called), and send the warm-up pass.
-func startServe(ctx context.Context, gen func(int64, float64) (*serveInputs, error), o *options, tr *tracer) (*serveEnv, error) {
-	inputs, err := gen(o.seed, o.seconds)
+func startServe(ctx context.Context, gen func(int64) (*serveInputs, error), o *options, tr *tracer) (*serveEnv, error) {
+	inputs, err := gen(o.seed)
 	if err != nil {
 		return nil, fmt.Errorf("generating requests: %w", err)
 	}
@@ -242,11 +255,25 @@ func traceHandler(tr *tracer, h http.Handler) http.Handler {
 	})
 }
 
-// clientLog is one closed-loop client's record of the timed phase.
+// clientLog is one closed-loop client's record of the timed phase, kept
+// in place so that it does not grow with the run.
 type clientLog struct {
 	ok      int
-	lat     [][]float64 // ms of successful ops, by window of completion
-	on, off stat        // traced and untraced ops of a traced run
+	best    []float64 // best latency (ms) at each position of the cycle; 0 = none
+	perPass []int     // successful ops in each cycle
+	on, off stat      // traced and untraced ops of a traced run
+}
+
+// record notes a successful op at index i of the sequence.
+func (lg *clientLog) record(i, cycle int, lat float64) {
+	lg.ok++
+	if b := lg.best[i%cycle]; b == 0 || lat < b {
+		lg.best[i%cycle] = lat
+	}
+	for len(lg.perPass) <= i/cycle {
+		lg.perPass = append(lg.perPass, 0)
+	}
+	lg.perPass[i/cycle]++
 }
 
 // stat accumulates a mean.
@@ -265,7 +292,7 @@ func (s stat) mean() float64 {
 }
 
 // runServe measures one serve workload.
-func runServe(ctx context.Context, gen func(int64, float64) (*serveInputs, error), o *options) (*outcome, error) {
+func runServe(ctx context.Context, gen func(int64) (*serveInputs, error), o *options) (*outcome, error) {
 	out := newOutcome()
 	var tr *tracer
 	if o.trace {
@@ -290,48 +317,42 @@ func runServe(ctx context.Context, gen func(int64, float64) (*serveInputs, error
 	out.values["setup_s"] = median(setups)
 
 	in := env.inputs
-	limit := len(in.pool)
-	if in.order != nil {
-		limit = len(in.order)
-	}
 	// Answers of the leading ops, kept for approx_ratio and the replay;
 	// each index is written by the one client that drew it.
 	ratios := make([][]float64, ratioOps)
 	bodies := make([][]byte, replayOps)
+	cycle := in.cycle()
 	poolAt := func(i int) int {
 		if in.order != nil {
-			return int(in.order[i%len(in.order)])
+			return int(in.order[i%cycle])
 		}
-		return i
+		return i % cycle
 	}
 	reqAt := func(i int) *request { return in.pool[poolAt(i)] }
 
 	before := env.srv.Stats()
 	var (
-		next      atomic.Int64
-		exhausted atomic.Bool
-		failMu    sync.Mutex
-		wg        sync.WaitGroup
+		next   atomic.Int64
+		failMu sync.Mutex
+		wg     sync.WaitGroup
+		markMu sync.Mutex
+		marks  []mark // marks[k]: when the first op of cycle k was drawn
 	)
 	logs := make([]clientLog, serveClients)
 	p := beginPhase()
-	window := time.Duration(o.seconds * float64(time.Second) / serveWindows)
-	deadline := p.start.Add(serveWindows * window)
-	sampled := make(chan []cpuSample, 1)
-	sampleCtx, stopSampling := context.WithCancel(ctx)
-	defer stopSampling()
-	go func() { sampled <- sampleWindows(sampleCtx, p.start, serveWindows, window) }()
+	deadline := p.start.Add(time.Duration(o.seconds * float64(time.Second)))
 	for c := 0; c < serveClients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			lg := &logs[c]
-			lg.lat = make([][]float64, serveWindows+1) // the last catches stragglers
+			lg.best = make([]float64, cycle)
 			for k := 0; time.Now().Before(deadline); k++ {
 				i := int(next.Add(1) - 1)
-				if in.order == nil && i >= limit {
-					exhausted.Store(true)
-					return
+				if i%cycle == 0 {
+					markMu.Lock()
+					marks = append(marks, markNow())
+					markMu.Unlock()
 				}
 				r := reqAt(i)
 				traced := tr != nil && k%traceEvery == traceEvery-1
@@ -361,9 +382,7 @@ func runServe(ctx context.Context, gen func(int64, float64) (*serveInputs, error
 					failMu.Unlock()
 					continue
 				}
-				lg.ok++
-				w := min(int(time.Since(p.start)/window), serveWindows)
-				lg.lat[w] = append(lg.lat[w], lat)
+				lg.record(i, cycle, lat)
 				if traced {
 					lg.on.add(lat)
 				} else {
@@ -379,33 +398,35 @@ func runServe(ctx context.Context, gen func(int64, float64) (*serveInputs, error
 		}(c)
 	}
 	wg.Wait()
+	marks = append(marks, markNow()) // the end of the last, partial pass
 	elapsed := time.Since(p.start)
-	stopSampling() // a drained pool ends the loop early; its last window is partial
-	samples := <-sampled
 	after := env.srv.Stats()
 
 	out.attempted = next.Load()
-	if exhausted.Load() {
-		out.attempted = int64(limit)
-		fmt.Fprintf(o.log, "%s: request pool of %d drained after %.1fs\n", o.workload, limit, elapsed.Seconds())
-	}
 	var ok int
 	var on, off stat
-	lat := make([][]float64, serveWindows)
+	perPass := make([]int, len(marks)-1) // successful ops of each cycle
+	bestAt := make([]float64, cycle)     // best latency at each position; 0 = none
 	for _, lg := range logs {
 		ok += lg.ok
 		on.n, on.sum = on.n+lg.on.n, on.sum+lg.on.sum
 		off.n, off.sum = off.n+lg.off.n, off.sum+lg.off.sum
-		for w := range lat {
-			lat[w] = append(lat[w], lg.lat[w]...)
+		for k, n := range lg.perPass {
+			perPass[k] += n
+		}
+		for j, b := range lg.best {
+			if b > 0 && (bestAt[j] == 0 || b < bestAt[j]) {
+				bestAt[j] = b
+			}
 		}
 	}
 	if err := p.finish(out, ok); err != nil {
 		return nil, fmt.Errorf("%v (%v)", err, out.problems)
 	}
-	if err := out.windowed(samples, lat); err != nil {
+	if err := out.passCPU(marks, perPass); err != nil {
 		return nil, err
 	}
+	out.requests(bestAt, serveClients)
 	var all []float64
 	seen := map[int]bool{}
 	for i, rs := range ratios {
