@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build vet fmt-check lint-docs test race bench-quick bench-packs \
 	bench-shard bench-merge bench-sharded bench-alloc bench-hot profile \
-	hspd-smoke fuzz-smoke coord-smoke ci
+	hspd-smoke fuzz-smoke coord-smoke full-suite ci
 
 all: build vet test
 
@@ -167,6 +167,12 @@ coord-smoke:
 	@n="$$(wc -l < $(COORD_OUT)/BENCH_coord.json)"; if [ "$$n" -ne 1 ]; then \
 		echo "coordinated run appended $$n bench records, want exactly 1"; exit 1; fi
 
+# The full (non-quick) suite, every pack, with a per-experiment
+# deadline: an experiment that hangs or runs away times out and hbench
+# exits nonzero, so the build fails instead of stalling.
+full-suite:
+	$(GO) run ./cmd/hbench -pack all -timeout 120s
+
 PROFILE_OUT ?= out/profile
 
 profile:
@@ -176,4 +182,4 @@ profile:
 		> $(PROFILE_OUT)/run.jsonl
 	@echo "profiles written: $(PROFILE_OUT)/cpu.pprof $(PROFILE_OUT)/heap.pprof"
 
-ci: build vet fmt-check lint-docs race bench-alloc fuzz-smoke bench-quick bench-packs hspd-smoke coord-smoke
+ci: build vet fmt-check lint-docs race bench-alloc fuzz-smoke bench-quick bench-packs full-suite hspd-smoke coord-smoke

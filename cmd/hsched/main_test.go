@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -137,6 +138,32 @@ func TestGoldenOutputs(t *testing.T) {
 					tc.golden, out.Bytes(), want)
 			}
 		})
+	}
+}
+
+// TestTwoApproxOffByOneInstance pins a semi-partitioned instance whose
+// LP bound was once accepted at 40, one below T* = 41: the unrelated
+// relaxation is infeasible at 40, so 2approx failed "contradicting
+// Lemma V.1". It must answer with T* = 41 and a makespan within 2·T*.
+func TestTwoApproxOffByOneInstance(t *testing.T) {
+	inst, err := os.ReadFile("../../internal/relax/testdata/semipart_offbyone.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-algo", "2approx"}, bytes.NewReader(inst), &out); err != nil {
+		t.Fatal(err)
+	}
+	var mk, tStar, bound int64
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "makespan = ") {
+			if _, err := fmt.Sscanf(line, "makespan = %d  (LP bound T* = %d; guarantee ≤ 2·T* = %d)", &mk, &tStar, &bound); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+		}
+	}
+	if tStar != 41 || mk <= 0 || mk > 82 {
+		t.Fatalf("T* = %d, makespan = %d; want T* = 41 and makespan ≤ 82:\n%s", tStar, mk, out.String())
 	}
 }
 

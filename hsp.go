@@ -200,8 +200,7 @@ func SolveExactCtx(ctx context.Context, in *Instance, maxNodes int) (Assignment,
 // LowerBoundLP returns the minimal integer T with a feasible fractional
 // relaxation of the assignment ILP — a lower bound on the optimum.
 func LowerBoundLP(in *Instance) (int64, error) {
-	t, _, err := relax.MinFeasibleT(in)
-	return t, err
+	return relax.BoundWS(context.Background(), in, nil)
 }
 
 // BuildSchedule realizes a feasible (assignment, T) as a valid schedule

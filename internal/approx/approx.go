@@ -70,7 +70,18 @@ func TwoApproxWS(ctx context.Context, in *model.Instance, ws *relax.Workspace) (
 	if err != nil {
 		return nil, fmt.Errorf("approx: %w", err)
 	}
+	return RoundWS(ctx, ins, tStar, frac, ws)
+}
 
+// RoundWS is the Theorem V.2 pipeline after its search (steps 2–4), for
+// callers that need T* on its own before rounding: ins must be
+// singleton-extended (model.Instance.WithSingletons) and tStar, frac the
+// result of relax.MinFeasibleTWS on ins. Extending by singletons leaves
+// T* unchanged — an added singleton inherits its parent's processing
+// times, so its mass can move to the parent — and so one search answers
+// both. The unrelated vertex LP runs on ws's simplex tableau (nil
+// allocates a private one).
+func RoundWS(ctx context.Context, ins *model.Instance, tStar int64, frac *relax.Fractional, ws *relax.Workspace) (*Result, error) {
 	// Lemma V.1: a singleton-supported feasible solution exists at T*, so
 	// the unrelated relaxation below is feasible at T*. The push-down is
 	// executed to certify that claim (and is cross-checked in tests); the
@@ -84,6 +95,9 @@ func TwoApproxWS(ctx context.Context, in *model.Instance, ws *relax.Workspace) (
 	}
 
 	u := singletonProjection(ins)
+	if ws == nil {
+		ws = relax.NewWorkspace()
+	}
 	ok, x, err := unrelated.FeasibleLPWS(ctx, u, tStar, ws.LP)
 	if err != nil {
 		return nil, fmt.Errorf("approx: unrelated relaxation: %w", err)

@@ -38,8 +38,8 @@ func (s Suite) E13(ctx context.Context) *Table {
 	t := newTable("E13", "topology", "n", "trials",
 		"2approx", "LPT-part", "greedy", "greedy+LS", "LP wins")
 	rng := rand.New(rand.NewSource(s.Seed + 13))
-	// One relaxation workspace for every trial's LP bound: the canonical
-	// MinFeasibleTWS spelling reuses its tableau trial to trial.
+	// One relaxation workspace for every trial's 2-approximation, whose
+	// LP bound is the T* every column is normalized by.
 	rws := relax.NewWorkspace()
 	for _, topo := range []workload.Topology{workload.SemiPartitioned, workload.SMPCMP} {
 		for _, n := range []int{10, 24} {
@@ -51,14 +51,11 @@ func (s Suite) E13(ctx context.Context) *Table {
 					return t
 				}
 				in := generatedN(rng, topo, n, 0.4, 0.2).WithSingletons()
-				tStar, _, err := relax.MinFeasibleTWS(ctx, in, rws)
+				res, err := approx.TwoApproxWS(ctx, in, rws)
 				if err != nil {
 					continue
 				}
-				res, err := approx.TwoApproxCtx(ctx, in)
-				if err != nil {
-					continue
-				}
+				tStar := res.LPBound
 				lpt, err1 := baselines.PartitionedLPT(in)
 				grd, err2 := baselines.GreedyCheapestSet(in)
 				gls, err3 := baselines.GreedyWithLocalSearch(in)

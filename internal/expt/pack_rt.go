@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"hsp/internal/model"
+	"hsp/internal/relax"
 	"hsp/internal/rt"
 	"hsp/internal/sched"
 	"hsp/internal/workload"
@@ -79,6 +80,7 @@ func (s Suite) RT1(ctx context.Context) *Table {
 		utils = []float64{0.35, 0.75, 1.15}
 	}
 	prevSched, prevUnsched := -1, -1
+	rws := relax.NewWorkspace() // one LP workspace for every test of the sweep
 	for _, u := range utils {
 		if ctx.Err() != nil {
 			return t
@@ -89,7 +91,7 @@ func (s Suite) RT1(ctx context.Context) *Table {
 			if frame < 1 {
 				frame = 1
 			}
-			res, err := rt.TestCtx(ctx, ts.in, frame, rt.Options{ExactNodes: 100_000})
+			res, err := rt.TestWS(ctx, ts.in, frame, rt.Options{ExactNodes: 100_000}, rws)
 			if err != nil {
 				continue
 			}
@@ -140,12 +142,13 @@ func (s Suite) RT2(ctx context.Context) *Table {
 	trials := s.trials(8)
 	var maxRatio float64
 	cnt, schedUp, tight, unschedLow, periodic := 0, 0, 0, 0, 0
+	rws := relax.NewWorkspace() // one LP workspace for every bracket and test
 	for k := 0; k < trials; k++ {
 		if ctx.Err() != nil {
 			return t
 		}
 		in := generatedN(rng, workload.SMPCMP, 10, 0.3, 0)
-		lower, upper, err := rt.MinFrameCtx(ctx, in)
+		lower, upper, err := rt.MinFrameWS(ctx, in, rws)
 		if err != nil || lower <= 0 {
 			continue
 		}
@@ -153,7 +156,7 @@ func (s Suite) RT2(ctx context.Context) *Table {
 		if r := float64(upper) / float64(lower); r > maxRatio {
 			maxRatio = r
 		}
-		if res, err := rt.TestCtx(ctx, in, upper, rt.Options{}); err == nil && res.Verdict == rt.Schedulable {
+		if res, err := rt.TestWS(ctx, in, upper, rt.Options{}, rws); err == nil && res.Verdict == rt.Schedulable {
 			schedUp++
 			if res.Makespan <= upper {
 				tight++
@@ -164,7 +167,7 @@ func (s Suite) RT2(ctx context.Context) *Table {
 			}
 		}
 		if lower >= 2 {
-			if res, err := rt.TestCtx(ctx, in, lower-1, rt.Options{}); err == nil &&
+			if res, err := rt.TestWS(ctx, in, lower-1, rt.Options{}, rws); err == nil &&
 				res.Verdict == rt.Unschedulable && res.LPBound > lower-1 {
 				unschedLow++
 			}

@@ -255,7 +255,7 @@ func (p *Problem) SolveWS(ctx context.Context, ws *Workspace) (*Solution, error)
 	}
 	sol, err := p.solveCold(ws)
 	if err == nil && !pooled && sol.Status == Optimal {
-		ws.retain(p)
+		ws.retain(p, sol.Iterations)
 	} else {
 		ws.warm.valid = false
 	}
@@ -306,6 +306,15 @@ func (p *Problem) solveCold(ws *Workspace) (*Solution, error) {
 				sol.X[v] = 0
 			}
 		}
+	}
+	// Phase 1's threshold grows with the row count, so it can accept a
+	// system that is infeasible by more than any single row tolerates. A
+	// feasible verdict must exhibit its vertex: the same check a warm
+	// verdict passes, against the original rows at certTol.
+	if !verifyPrimal(p, sol.X, t.rowScale) {
+		sol.Status = Infeasible
+		sol.X = nil
+		return sol, nil
 	}
 	for i, c := range p.obj {
 		sol.Objective += c * sol.X[i]

@@ -22,7 +22,10 @@ import (
 //   - signature mismatch, including any negative RHS on either side (the
 //     cold path's sign normalization would flip row scaling);
 //   - an artificial variable still basic in the retained tableau;
-//   - the dual re-entry exceeds its pivot budget (cycling guard);
+//   - the dual re-entry exceeds its pivot budget, warmPivotFactor times
+//     the cold pivots that built the anchor: a re-entry that costs more
+//     than solving afresh has lost its point (and this also guards
+//     against cycling);
 //   - an infeasibility certificate with a violation too small to trust
 //     against the cold path's phase-1 tolerance.
 //
@@ -45,6 +48,7 @@ type warmState struct {
 	obj   []float64
 	keys  []uint64 // variable identity keys, empty when the problem had none
 	o2n   []int    // scratch: anchor column → new column (-1 = pruned)
+	cost  int      // pivots of the cold solve that built the anchor
 }
 
 // Counters aggregates solver effort across the lifetime of a Workspace
@@ -190,11 +194,12 @@ func (ws *Workspace) warmMap(p *Problem) ([]int, bool) {
 	return o2n, true
 }
 
-// retain records p as the problem whose optimal basis the tableau now
-// holds. It declines (leaving warm start invalid) when the basis could
-// not be re-entered safely: a negative RHS, or an artificial variable
-// still basic (a redundant row kept its artificial at zero).
-func (ws *Workspace) retain(p *Problem) {
+// retain records p, solved cold in pivots pivots, as the problem whose
+// optimal basis the tableau now holds. It declines (leaving warm start
+// invalid) when the basis could not be re-entered safely: a negative
+// RHS, or an artificial variable still basic (a redundant row kept its
+// artificial at zero).
+func (ws *Workspace) retain(p *Problem, pivots int) {
 	w := &ws.warm
 	w.valid = false
 	if ws.warmOff {
@@ -227,6 +232,7 @@ func (ws *Workspace) retain(p *Problem) {
 	copy(w.obj, p.obj)
 	w.keys = scratch.Grow(w.keys, len(p.keys))
 	copy(w.keys, p.keys)
+	w.cost = pivots
 	w.valid = true
 }
 
@@ -244,6 +250,13 @@ const decisiveInfeasTol = 1e-4
 // certificate from the exact input arena, where only the certificate
 // vector itself carries drift.
 const certTol = 1e-7
+
+// warmPivotFactor caps a dual re-entry at this multiple of the anchor's
+// cold pivot count. Dual and primal pivots cost the same on the dense
+// tableau, so a re-entry past the cap already costs more than the cold
+// solve it replaces; the cold path answers instead, and a fallback costs
+// at most (1+warmPivotFactor) cold solves.
+const warmPivotFactor = 2
 
 // solveWarm re-enters the retained basis with p's right-hand sides.
 // oldToNew, when non-nil, maps anchor columns to p's columns (-1 = a
@@ -300,7 +313,7 @@ func (ws *Workspace) solveWarm(p *Problem, oldToNew []int) (*Solution, bool, err
 	t.degenStreak = 0
 	t.blandMode = false
 
-	pivots, worst, err := t.dualIterate()
+	pivots, worst, err := t.dualIterate(warmPivotFactor * ws.warm.cost)
 	if err != nil {
 		return nil, false, err
 	}
@@ -462,19 +475,19 @@ func (t *tableau) verifyFarkas(p *Problem) bool {
 // primal feasibility (worst ≥ -zeroTol), a Farkas infeasibility
 // certificate (worst < -zeroTol with no admissible entering column; the
 // certificate row and ray orientation land in t.certRow / t.certFlip),
-// or a pivot budget that guards against cycling (a stall reports the
-// current worst violation clamped into the ambiguous band, with
-// pivots = budget). Banned columns are variables the presented problem
+// or maxIter pivots (a stall reports the current worst violation clamped
+// into the ambiguous band, with pivots = maxIter). The budget is checked
+// only before a pivot, so a basis that needs no pivot answers even at
+// maxIter = 0. Banned columns are variables the presented problem
 // fixed at zero: they may not enter, and one still basic at a positive
 // value is itself a violation — it leaves through the sign-mirrored
 // ratio test (bounded dual simplex with a [0,0] box on banned columns).
 // The context is polled between pivots like the primal loop.
-func (t *tableau) dualIterate() (int, float64, error) {
-	maxIter := 2000 + 200*(t.nrows+t.ncols)
+func (t *tableau) dualIterate(maxIter int) (int, float64, error) {
 	nc := t.ncols
 	bland := false
 	t.certRow, t.certFlip = -1, false
-	for iters := 0; iters < maxIter; iters++ {
+	for iters := 0; ; iters++ {
 		if t.ctx != nil {
 			if err := t.ctx.Err(); err != nil {
 				return iters, 0, fmt.Errorf("canceled after %d dual pivots: %w", iters, err)
@@ -541,6 +554,9 @@ func (t *tableau) dualIterate() (int, float64, error) {
 		if enter < 0 {
 			t.certRow, t.certFlip = leave, above
 			return iters, -worst, nil
+		}
+		if iters == maxIter {
+			break
 		}
 		if worst < zeroTol*8 {
 			// Barely-violated rows make degenerate pivots; switch to

@@ -9,6 +9,7 @@ import (
 	"hsp/internal/hier"
 	"hsp/internal/lp"
 	"hsp/internal/model"
+	"hsp/internal/relax"
 	"hsp/internal/sched"
 )
 
@@ -368,12 +369,12 @@ func SolveModel2Ctx(ctx context.Context, m2 *Model2) (*Result, error) {
 }
 
 // minFeasibleT binary-searches the minimal T whose constrained relaxation
-// is feasible. Each probe's LP polls ctx between pivots.
+// is feasible. Each probe's LP polls ctx between pivots. The search
+// starts from relax.LowerBound: memory rows only restrict (IP-3), so its
+// lower end still holds, but relax.Bracket's greedy upper end ignores
+// memory and is not certified here.
 func minFeasibleT(ctx context.Context, in *model.Instance, build func(T int64) ([]int, [][2]int, []Packing)) (int64, error) {
-	lo := in.LowerBoundSimple()
-	if lo < 1 {
-		lo = 1
-	}
+	lo := relax.LowerBound(in)
 	hi := in.TrivialUpperBound()
 	if hi >= model.Infinity {
 		return 0, fmt.Errorf("memcap: some job has no admissible set")

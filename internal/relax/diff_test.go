@@ -85,34 +85,51 @@ func TestWarmStalenessInterleaved(t *testing.T) {
 	}
 }
 
-// TestWarmStartActuallyFires guards the point of the whole exercise: on
-// a reused workspace the binary search must answer a meaningful share of
-// probes from the warm path, with strictly fewer pivots than cold.
+// TestWarmStartActuallyFires guards the point of the whole exercise: a
+// bisecting probe sequence on a reused workspace must answer a
+// meaningful share of probes from the warm path, with strictly fewer
+// pivots than cold. The sequence bisects the loose bracket
+// [LowerBoundSimple, TrivialUpperBound] rather than calling
+// MinFeasibleTWS, whose certified bracket leaves too few probes per
+// search to exercise re-entry; every verdict must match the cold one.
 func TestWarmStartActuallyFires(t *testing.T) {
 	ctx := context.Background()
 	var warmHits, probes, warmPivots, coldPivots int
 	for _, c := range testdiff.Cases(3, 40) {
-		ws := relax.NewWorkspace()
-		if _, _, err := relax.MinFeasibleTWS(ctx, c.In, ws); err != nil {
-			continue
+		warm := relax.NewWorkspace()
+		cold := relax.NewWorkspace()
+		cold.LP.SetWarmStart(false)
+		lo, hi := c.In.LowerBoundSimple(), c.In.TrivialUpperBound()
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			okWarm, err := relax.ProbeFeasibleWS(ctx, c.In, mid, warm)
+			if err != nil {
+				t.Fatalf("%s: warm probe T=%d: %v", c.Name, mid, err)
+			}
+			okCold, err := relax.ProbeFeasibleWS(ctx, c.In, mid, cold)
+			if err != nil {
+				t.Fatalf("%s: cold probe T=%d: %v", c.Name, mid, err)
+			}
+			if okWarm != okCold {
+				t.Fatalf("%s: verdicts differ at T=%d: warm=%v cold=%v", c.Name, mid, okWarm, okCold)
+			}
+			if okWarm {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
 		}
-		st := ws.Stats()
+		st := warm.Stats()
 		warmHits += st.LP.WarmHits
 		probes += st.Probes
 		warmPivots += st.LP.Pivots
-
-		cold := relax.NewWorkspace()
-		cold.LP.SetWarmStart(false)
-		if _, _, err := relax.MinFeasibleTWS(ctx, c.In, cold); err != nil {
-			continue
-		}
 		coldPivots += cold.Stats().LP.Pivots
 	}
 	if probes == 0 || warmHits*2 < probes {
 		t.Fatalf("warm path answered %d of %d probes — warm start effectively off", warmHits, probes)
 	}
 	if warmPivots*2 >= coldPivots {
-		t.Fatalf("warm searches spent %d pivots vs %d cold — no meaningful saving", warmPivots, coldPivots)
+		t.Fatalf("warm probes spent %d pivots vs %d cold — no meaningful saving", warmPivots, coldPivots)
 	}
 	t.Logf("warm hits %d/%d probes, pivots %d vs %d cold (%.1fx)",
 		warmHits, probes, warmPivots, coldPivots, float64(coldPivots)/float64(warmPivots))

@@ -45,18 +45,27 @@ func decodeFuzzConfig(data []byte) workload.Config {
 	return cfg
 }
 
+// fuzzSeeds are FuzzMinFeasibleT's seed inputs, shared with the bracket
+// property test.
+var fuzzSeeds = [][]byte{
+	{},
+	{0, 2, 5, 1, 0, 0, 0, 9, 4, 0, 0, 0},
+	{3, 3, 7, 77, 1, 0, 0, 50, 40, 0x21, 200, 0},
+	{4, 1, 6, 5, 0, 2, 0, 30, 30, 0x12, 100, 100},
+	{5, 5, 9, 9, 9, 9, 9, 255, 255, 0, 255, 0},
+}
+
 // FuzzMinFeasibleT is the property test for the warm-started binary
 // search: on any generable instance, the warm T* must equal the cold
-// oracle's, feasibility must be monotone around T* (T*-1 infeasible,
-// T* and T*+1 feasible), and warm/cold probe verdicts must agree at
-// those boundary points — the exact places a bad dual-simplex verdict
-// would shift the search's answer.
+// oracle's and lie in the certified bracket, feasibility must be
+// monotone around T* (T*-1 infeasible, T* and T*+1 feasible), and
+// warm/cold probe verdicts must agree at those boundary points — the
+// exact places a bad dual-simplex verdict would shift the search's
+// answer.
 func FuzzMinFeasibleT(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 2, 5, 1, 0, 0, 0, 9, 4, 0, 0, 0})
-	f.Add([]byte{3, 3, 7, 77, 1, 0, 0, 50, 40, 0x21, 200, 0})
-	f.Add([]byte{4, 1, 6, 5, 0, 2, 0, 30, 30, 0x12, 100, 100})
-	f.Add([]byte{5, 5, 9, 9, 9, 9, 9, 255, 255, 0, 255, 0})
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, err := workload.Generate(decodeFuzzConfig(data))
 		if err != nil {
@@ -76,6 +85,9 @@ func FuzzMinFeasibleT(f *testing.F) {
 		}
 		if tWarm != tCold {
 			t.Fatalf("T* disagreement: warm=%d cold=%d", tWarm, tCold)
+		}
+		if err := checkBracket(in, tWarm); err != nil {
+			t.Fatal(err)
 		}
 		if frWarm == nil {
 			t.Fatalf("no witness at T*=%d", tWarm)

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 
 	"hsp/internal/lp"
 	"hsp/internal/model"
@@ -220,15 +221,11 @@ func FeasibleWS(ctx context.Context, in *model.Instance, T int64, ws *Workspace)
 	// and the golden outputs, which pin the cold path's vertex byte for
 	// byte. Warm start only ever accelerates verdict-only probes.
 	ws.LP.InvalidateWarmStart()
-	ok, x, err := feasibleWS(ctx, in, T, ws)
+	ok, x, _, err := feasibleWS(ctx, in, T, ws)
 	if err != nil || !ok {
 		return false, nil, err
 	}
-	fr := NewFractional(in)
-	for k, pr := range ws.pairs {
-		fr.X[pr[0]][pr[1]] = x[k]
-	}
-	return true, fr, nil
+	return true, ws.fractional(in, x), nil
 }
 
 // ProbeFeasibleWS reports whether the relaxation is feasible at T
@@ -241,27 +238,37 @@ func ProbeFeasibleWS(ctx context.Context, in *model.Instance, T int64, ws *Works
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	ok, _, err := feasibleWS(ctx, in, T, ws)
+	ok, _, _, err := feasibleWS(ctx, in, T, ws)
 	return ok, err
 }
 
 // feasibleWS is the probe shared by FeasibleWS and the binary search: it
-// reports feasibility and the raw vertex x over ws.pairs without
-// materializing a Fractional (the search only needs the verdict).
-func feasibleWS(ctx context.Context, in *model.Instance, T int64, ws *Workspace) (bool, []float64, error) {
+// reports feasibility, the raw vertex x over ws.pairs without
+// materializing a Fractional, and whether the warm path answered (a
+// vertex the cold path answered is the one a witness solve returns).
+func feasibleWS(ctx context.Context, in *model.Instance, T int64, ws *Workspace) (ok bool, x []float64, warm bool, err error) {
 	// Fast negative: a job whose cheapest set exceeds T has no variable.
 	for j := 0; j < in.N(); j++ {
 		if v, _ := in.MinProc(j); v > T {
-			return false, nil, nil
+			return false, nil, false, nil
 		}
 	}
 	ws.probes++
 	buildFeasibilityWS(in, T, ws)
-	ok, x, err := ws.prob.FeasibleWS(ctx, ws.LP)
+	sol, err := ws.prob.SolveWS(ctx, ws.LP)
 	if err != nil {
-		return false, nil, fmt.Errorf("relax: LP at T=%d: %w", T, err)
+		return false, nil, false, fmt.Errorf("relax: LP at T=%d: %w", T, err)
 	}
-	return ok, x, nil
+	return sol.Status != lp.Infeasible, sol.X, sol.Warm, nil
+}
+
+// fractional maps a vertex over ws.pairs onto a Fractional.
+func (ws *Workspace) fractional(in *model.Instance, x []float64) *Fractional {
+	fr := NewFractional(in)
+	for k, pr := range ws.pairs {
+		fr.X[pr[0]][pr[1]] = x[k]
+	}
+	return fr
 }
 
 // MinFeasibleT is MinFeasibleTWS with context.Background() and a private
@@ -277,9 +284,10 @@ func MinFeasibleTCtx(ctx context.Context, in *model.Instance) (int64, *Fractiona
 }
 
 // MinFeasibleTWS binary-searches the minimal integer T for which the LP
-// relaxation of (IP-3) is feasible. T* is a lower bound on the optimal
-// integral makespan; the returned Fractional is a feasible solution at
-// T*. This is the canonical spelling: the binary search checks ctx
+// relaxation of (IP-3) is feasible, inside the certified bracket of
+// Bracket. T* is a lower bound on the optimal integral makespan; the
+// returned Fractional is a feasible solution at T*, the cold path's
+// vertex. This is the canonical spelling: the binary search checks ctx
 // before every LP probe and each probe itself aborts between simplex
 // pivots, so cancellation latency is one pivot, not one search; the
 // caller-held Workspace (nil allocates one for the whole search) lets
@@ -287,49 +295,144 @@ func MinFeasibleTCtx(ctx context.Context, in *model.Instance) (int64, *Fractiona
 // search's steady-state allocations are the per-solve Solution plus the
 // final Fractional.
 func MinFeasibleTWS(ctx context.Context, in *model.Instance, ws *Workspace) (int64, *Fractional, error) {
+	return search(ctx, in, ws, true)
+}
+
+// BoundWS is MinFeasibleTWS for callers that need T* alone, such as an
+// LP bound or a lower end for another search: it skips the cold witness
+// solve, so T* costs only the search's probes.
+func BoundWS(ctx context.Context, in *model.Instance, ws *Workspace) (int64, error) {
+	t, _, err := search(ctx, in, ws, false)
+	return t, err
+}
+
+// search is the binary search behind MinFeasibleTWS and BoundWS. A
+// feasible probe the cold path answered at the final T is already the
+// witness; any other final T is solved again, cold.
+func search(ctx context.Context, in *model.Instance, ws *Workspace, witness bool) (int64, *Fractional, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	lo := in.LowerBoundSimple()
-	if lo < 1 {
-		lo = 1
+	// A bracket that closes at once leaves no LP to poll ctx.
+	if ctx != nil && ctx.Err() != nil {
+		return 0, nil, fmt.Errorf("relax: %w", ctx.Err())
 	}
-	hi := in.TrivialUpperBound()
-	if hi >= model.Infinity {
-		return 0, nil, fmt.Errorf("relax: some job has no admissible set")
+	lo, hi, err := Bracket(in)
+	if err != nil {
+		return 0, nil, err
 	}
-	if hi < lo {
-		hi = lo
-	}
-	anyFeasible := false
+	var fr *Fractional
+	frT := int64(-1)
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		ok, _, err := feasibleWS(ctx, in, mid, ws)
+		ok, x, warm, err := feasibleWS(ctx, in, mid, ws)
 		if err != nil {
 			return 0, nil, err
 		}
-		if ok {
-			hi = mid
-			anyFeasible = true
-		} else {
+		if !ok {
 			lo = mid + 1
+			continue
+		}
+		hi = mid
+		if witness && !warm {
+			fr, frT = ws.fractional(in, x), mid
 		}
 	}
-	// The search's last probe need not have been at lo; solve there for
-	// the witness Fractional (this is also the only probe that pays for
-	// materializing one).
+	if !witness || frT == lo {
+		return lo, fr, nil
+	}
 	ok, fr, err := FeasibleWS(ctx, in, lo, ws)
 	if err != nil {
 		return 0, nil, err
 	}
 	if !ok {
-		if anyFeasible {
-			return 0, nil, fmt.Errorf("relax: binary search landed on infeasible T=%d", lo)
-		}
-		return 0, nil, fmt.Errorf("relax: LP infeasible even at the trivial upper bound %d", lo)
+		return 0, nil, fmt.Errorf("relax: LP infeasible at T=%d, the top of its certified bracket", lo)
 	}
 	return lo, fr, nil
 }
+
+// Bracket returns lo ≤ T* ≤ hi for the minimal LP-feasible makespan T*
+// of (IP-3), so a binary search spends its probes only where the answer
+// can be. lo is LowerBound. hi is the (IP-3) bound of a greedy integral
+// assignment: jobs in decreasing order of their cheapest time, each on
+// the set minimizing max(p_js, max over the chain of s of
+// ⌈vol(α)/|α|⌉); that assignment's indicator vector is feasible at hi.
+// It fails when some job has no admissible set.
+func Bracket(in *model.Instance) (lo, hi int64, err error) {
+	f := in.Family
+	order := make([]int, in.N())
+	cheapest := make([]int64, in.N())
+	for j := range order {
+		order[j] = j
+		cheapest[j], _ = in.MinProc(j)
+		if cheapest[j] >= model.Infinity {
+			return 0, 0, fmt.Errorf("relax: some job has no admissible set")
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return cheapest[order[a]] > cheapest[order[b]] })
+	vol := make([]int64, f.Len())
+	for _, j := range order {
+		best, bestP, bestT := -1, int64(0), int64(0)
+		for s, p := range in.Proc[j] {
+			if p >= model.Infinity {
+				continue
+			}
+			t := p
+			for _, a := range f.Chain(s) {
+				if c := ceilDiv(vol[a]+p, int64(f.Size(a))); c > t {
+					t = c
+				}
+			}
+			if best < 0 || t < bestT || (t == bestT && p < bestP) {
+				best, bestP, bestT = s, p, t
+			}
+		}
+		for _, a := range f.Chain(best) {
+			vol[a] += bestP
+		}
+		if bestT > hi {
+			hi = bestT
+		}
+	}
+	lo = LowerBound(in)
+	if ub := in.TrivialUpperBound(); ub < hi {
+		hi = ub
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return lo, hi, nil
+}
+
+// LowerBound is the lower end of Bracket: the larger of
+// LowerBoundSimple — no job fits below its cheapest time — and
+// ⌈Σ_j min_s p_js / Σ_roots |root|⌉, since every job loads at least its
+// cheapest volume into its root's row and the roots are disjoint. It is
+// at least 1, and it bounds any relaxation that only adds rows to
+// (IP-3), such as the memory-constrained ones of internal/memcap.
+func LowerBound(in *model.Instance) int64 {
+	lo := in.LowerBoundSimple()
+	var total, capacity int64
+	for j := 0; j < in.N(); j++ {
+		if v, _ := in.MinProc(j); v < model.Infinity {
+			total += v
+		}
+	}
+	for _, r := range in.Family.Roots() {
+		capacity += int64(in.Family.Size(r))
+	}
+	if capacity > 0 {
+		if v := ceilDiv(total, capacity); v > lo {
+			lo = v
+		}
+	}
+	if lo < 1 {
+		lo = 1
+	}
+	return lo
+}
+
+func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
 // PushDown applies Lemma V.1 repeatedly: it returns a feasible fractional
 // solution at the same T whose support lies only on singleton sets. It

@@ -75,13 +75,20 @@ type Result struct {
 // Test decides whether the task set (tasks = jobs of the instance, WCETs =
 // processing times) is schedulable with frame length F.
 func Test(in *model.Instance, frame int64, opts Options) (*Result, error) {
-	return TestCtx(context.Background(), in, frame, opts)
+	return TestWS(context.Background(), in, frame, opts, nil)
 }
 
-// TestCtx is Test under a context: the LP certificate, the constructive
-// attempts and the optional exact search all poll ctx and abort with an
-// error wrapping ctx.Err() once it is done.
+// TestCtx is TestWS with a private workspace — compat wrapper.
 func TestCtx(ctx context.Context, in *model.Instance, frame int64, opts Options) (*Result, error) {
+	return TestWS(ctx, in, frame, opts, nil)
+}
+
+// TestWS is the canonical spelling of Test: the LP certificate, the
+// constructive attempts and the optional exact search all poll ctx and
+// abort with an error wrapping ctx.Err() once it is done, and the one LP
+// search behind both the certificate and the 2-approximation runs on the
+// caller-held relaxation workspace (nil allocates a private one).
+func TestWS(ctx context.Context, in *model.Instance, frame int64, opts Options, ws *relax.Workspace) (*Result, error) {
 	if frame <= 0 {
 		return nil, fmt.Errorf("rt: frame length must be positive, got %d", frame)
 	}
@@ -89,8 +96,13 @@ func TestCtx(ctx context.Context, in *model.Instance, frame int64, opts Options)
 		return nil, fmt.Errorf("rt: %w", err)
 	}
 	res := &Result{Frame: frame, Instance: in}
-
-	tStar, _, err := relax.MinFeasibleTWS(ctx, in, nil)
+	if ws == nil {
+		ws = relax.NewWorkspace()
+	}
+	// The bound alone decides Unschedulable; the witness is solved only
+	// when rounding will use it.
+	ins := in.WithSingletons()
+	tStar, err := relax.BoundWS(ctx, ins, ws)
 	if err != nil {
 		return nil, fmt.Errorf("rt: %w", err)
 	}
@@ -99,10 +111,17 @@ func TestCtx(ctx context.Context, in *model.Instance, frame int64, opts Options)
 		res.Verdict = Unschedulable
 		return res, nil
 	}
+	ok, frac, err := relax.FeasibleWS(ctx, ins, tStar, ws)
+	if err != nil {
+		return nil, fmt.Errorf("rt: %w", err)
+	}
+	if !ok {
+		return nil, fmt.Errorf("rt: LP infeasible at its own T*=%d", tStar)
+	}
 
 	// Constructive attempts, cheapest first: the certified 2-approximation,
 	// then the greedy + local search, then (optionally) exact search.
-	if ar, err := approx.TwoApproxCtx(ctx, in); err == nil && ar.Makespan <= frame {
+	if ar, err := approx.RoundWS(ctx, ins, tStar, frac, ws); err == nil && ar.Makespan <= frame {
 		res.Verdict = Schedulable
 		res.Makespan = ar.Makespan
 		res.Assignment = ar.Assignment
@@ -145,19 +164,25 @@ func TestCtx(ctx context.Context, in *model.Instance, frame int64, opts Options)
 // lower = the LP bound (no smaller frame can ever be schedulable),
 // upper = the best constructive makespan found (that frame provably works).
 func MinFrame(in *model.Instance) (lower, upper int64, err error) {
-	return MinFrameCtx(context.Background(), in)
+	return MinFrameWS(context.Background(), in, nil)
 }
 
-// MinFrameCtx is MinFrame under a context (see TestCtx).
-func MinFrameCtx(ctx context.Context, in *model.Instance) (lower, upper int64, err error) {
+// MinFrameWS is the canonical spelling of MinFrame (see TestWS).
+func MinFrameWS(ctx context.Context, in *model.Instance, ws *relax.Workspace) (lower, upper int64, err error) {
 	if err := in.Validate(); err != nil {
 		return 0, 0, fmt.Errorf("rt: %w", err)
 	}
-	lower, _, err = relax.MinFeasibleTWS(ctx, in, nil)
-	if err != nil {
-		return 0, 0, err
+	if ws == nil {
+		ws = relax.NewWorkspace()
 	}
-	ar, err := approx.TwoApproxCtx(ctx, in)
+	// One search on the singleton-extended instance, whose T* equals
+	// in's, serves both the lower end and the rounding's witness.
+	ins := in.WithSingletons()
+	lower, frac, err := relax.MinFeasibleTWS(ctx, ins, ws)
+	if err != nil {
+		return 0, 0, fmt.Errorf("rt: %w", err)
+	}
+	ar, err := approx.RoundWS(ctx, ins, lower, frac, ws)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -1,11 +1,13 @@
 package rt
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"hsp/internal/model"
+	"hsp/internal/relax"
 	"hsp/internal/sched"
 	"hsp/internal/workload"
 )
@@ -120,6 +122,42 @@ func TestTrichotomyProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An Unschedulable answer rests on T* alone, so TestWS spends exactly
+// the probes of relax.BoundWS on it; a frame it goes on to round adds
+// the one cold witness solve at T*.
+func TestWitnessOnlyWhenRounding(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 20; seed++ {
+		in, err := workload.Generate(workload.Config{
+			Topology: workload.SemiPartitioned, Machines: 4, Jobs: 12,
+			Seed: seed, MinWork: 3, MaxWork: 30,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := relax.NewWorkspace()
+		tStar, err := relax.BoundWS(ctx, in.WithSingletons(), ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := ref.Stats().Probes
+		for _, c := range []struct {
+			frame  int64
+			probes int
+		}{{tStar - 1, bound}, {2 * tStar, bound + 1}} {
+			ws := relax.NewWorkspace()
+			r, err := TestWS(ctx, in, c.frame, Options{}, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ws.Stats().Probes; got != c.probes || r.LPBound != tStar {
+				t.Fatalf("seed %d, frame %d (T* = %d): %v after %d probes (T* = %d), want %d probes",
+					seed, c.frame, tStar, r.Verdict, got, r.LPBound, c.probes)
+			}
+		}
 	}
 }
 

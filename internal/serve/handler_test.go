@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hsp/internal/model"
+	"hsp/internal/workload"
 )
 
 // instanceJSON returns Example II.1 in the wire format requests embed.
@@ -347,14 +348,31 @@ func TestHandlerHealthAndStats(t *testing.T) {
 // TestStatsSolverCounters drives one LP and one exact request and checks
 // that the warm-start and DFS effort counters reach /statsz: the daemon
 // is where pivot/probe rates get monitored in production, so a counter
-// that never moves is a wiring bug, not a cosmetic one.
+// that never moves is a wiring bug, not a cosmetic one. The LP request
+// is a 12-job SMP-CMP instance whose certified search bracket still
+// spans several probes (Example II.1's bracket closes at once, leaving
+// no probe to warm-start).
 func TestStatsSolverCounters(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	for _, algo := range []string{AlgoLP, AlgoExact} {
-		body, _ := json.Marshal(&Request{Algo: algo, Instance: instanceJSON(t)})
+	in, err := workload.Generate(workload.Config{
+		Topology: workload.SMPCMP, Branching: []int{2, 2}, Jobs: 12, Seed: 3,
+		MinWork: 10, MaxWork: 100, SpeedSpread: 0.5, OverheadPerLevel: 0.3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lpInstance bytes.Buffer
+	if err := model.Encode(&lpInstance, in); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []*Request{
+		{Algo: AlgoLP, Instance: lpInstance.Bytes()},
+		{Algo: AlgoExact, Instance: instanceJSON(t)},
+	} {
+		body, _ := json.Marshal(req)
 		status, b, _ := post(t, ts.URL+"/v1/solve", body)
 		if status != http.StatusOK {
-			t.Fatalf("%s status %d: %s", algo, status, b)
+			t.Fatalf("%s status %d: %s", req.Algo, status, b)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/statsz")

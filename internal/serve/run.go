@@ -72,7 +72,7 @@ func Run(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) 
 	out := &Outcome{Algo: req.Algo, Instance: in}
 	switch req.Algo {
 	case AlgoLP:
-		t, _, err := relax.MinFeasibleTWS(ctx, in, ws.Relax)
+		t, err := relax.BoundWS(ctx, in, ws.Relax)
 		if err != nil {
 			return nil, err
 		}
@@ -119,7 +119,7 @@ func Run(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) 
 		if req.Frame <= 0 {
 			return nil, badRequestf("algo %q requires a positive frame, got %d", AlgoRT, req.Frame)
 		}
-		res, err := rt.TestCtx(ctx, in, req.Frame, rt.Options{ExactNodes: req.MaxNodes})
+		res, err := rt.TestWS(ctx, in, req.Frame, rt.Options{ExactNodes: req.MaxNodes}, ws.Relax)
 		if err != nil {
 			return nil, err
 		}

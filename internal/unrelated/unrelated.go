@@ -169,63 +169,98 @@ func feasibleLP(ctx context.Context, in *Instance, T int64, sc *lpScratch) (bool
 }
 
 // MinFeasibleTWS binary-searches the minimal integer T with a feasible
-// relaxation and returns a vertex solution at that T. This is the
-// canonical spelling: the binary search checks ctx before every probe
-// (each probe itself aborts between simplex pivots), and every probe
-// rebuilds into one build scratch backed by the caller-held simplex
-// workspace (nil allocates a private one for the whole search).
+// relaxation, inside the certified bracket of Bracket, and returns a
+// vertex solution at that T. This is the canonical spelling: the binary
+// search checks ctx before every probe (each probe itself aborts between
+// simplex pivots), and every probe rebuilds into one build scratch
+// backed by the caller-held simplex workspace (nil allocates a private
+// one for the whole search).
 func MinFeasibleTWS(ctx context.Context, in *Instance, ws *lp.Workspace) (int64, [][]float64, error) {
-	var lo, hi int64 = 1, 0
-	for j := 0; j < in.N(); j++ {
-		v, _ := in.minProc(j)
-		if v >= model.Infinity {
-			return 0, nil, fmt.Errorf("unrelated: job %d has no usable machine", j)
-		}
-		hi += v
-		if v > lo {
-			lo = v
-		}
-	}
-	if hi < lo {
-		hi = lo
+	lo, hi, err := Bracket(in)
+	if err != nil {
+		return 0, nil, err
 	}
 	if ws == nil {
 		ws = lp.NewWorkspace()
 	}
 	sc := &lpScratch{ws: ws}
-	var best [][]float64
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		ok, x, err := feasibleLP(ctx, in, mid, sc)
+		ok, _, err := feasibleLP(ctx, in, mid, sc)
 		if err != nil {
 			return 0, nil, err
 		}
 		if ok {
-			hi, best = mid, x
+			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	// The witness at T* is re-solved cold: probes may answer from a warm
+	// The witness at T* is solved cold: probes may answer from a warm
 	// basis, but the returned vertex must be the cold path's, bit for bit.
 	ws.InvalidateWarmStart()
-	if best == nil {
-		ok, x, err := feasibleLP(ctx, in, lo, sc)
-		if err != nil {
-			return 0, nil, err
-		}
-		if !ok {
-			return 0, nil, fmt.Errorf("unrelated: infeasible at trivial upper bound %d", lo)
-		}
-		best = x
-	} else {
-		ok, x, err := feasibleLP(ctx, in, lo, sc)
-		if err != nil || !ok {
-			return 0, nil, fmt.Errorf("unrelated: re-solve at T*=%d failed (err=%v)", lo, err)
-		}
-		best = x
+	ok, x, err := feasibleLP(ctx, in, lo, sc)
+	if err != nil {
+		return 0, nil, err
 	}
-	return lo, best, nil
+	if !ok {
+		return 0, nil, fmt.Errorf("unrelated: LP infeasible at T=%d, the top of its certified bracket", lo)
+	}
+	return lo, x, nil
+}
+
+// Bracket returns lo ≤ T* ≤ hi for the minimal LP-feasible makespan T*.
+// lo is the larger of max_j min_i p_ij and ⌈Σ_j min_i p_ij / m⌉: every
+// job runs somewhere, and the machines hold at most m·T of volume. hi is
+// the makespan of greedy list scheduling — jobs in decreasing order of
+// their cheapest time, each on the machine where it finishes first —
+// whose indicator vector is feasible at that T. It fails when some job
+// has no usable machine.
+func Bracket(in *Instance) (lo, hi int64, err error) {
+	n, m := in.N(), in.M()
+	order := make([]int, n)
+	cheapest := make([]int64, n)
+	var total int64
+	for j := range order {
+		order[j] = j
+		cheapest[j], _ = in.minProc(j)
+		if cheapest[j] >= model.Infinity {
+			return 0, 0, fmt.Errorf("unrelated: job %d has no usable machine", j)
+		}
+		total += cheapest[j]
+		if cheapest[j] > lo {
+			lo = cheapest[j]
+		}
+	}
+	if m > 0 {
+		if v := (total + int64(m) - 1) / int64(m); v > lo {
+			lo = v
+		}
+	}
+	if lo < 1 {
+		lo = 1
+	}
+	sort.SliceStable(order, func(a, b int) bool { return cheapest[order[a]] > cheapest[order[b]] })
+	load := make([]int64, m)
+	for _, j := range order {
+		best := -1
+		for i, p := range in.P[j] {
+			if p < model.Infinity && (best < 0 || load[i]+p < load[best]+in.P[j][best]) {
+				best = i
+			}
+		}
+		load[best] += in.P[j][best]
+		if load[best] > hi {
+			hi = load[best]
+		}
+	}
+	if hi > total {
+		hi = total // all jobs on their cheapest machines, back to back
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return lo, hi, nil
 }
 
 // MinFeasibleT is MinFeasibleTWS with context.Background() and a private
